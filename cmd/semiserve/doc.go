@@ -45,6 +45,13 @@
 //     [{"procs": [...], "time": ...}]}]}, converted to its hypergraph
 //     form.
 //
+// The body is read into one buffer sized from its Content-Length (at
+// most 1 MiB up front, growing past that as bytes arrive; -max-body stays
+// the hard limit) and the text format is parsed from that buffer in place
+// (encode.Parse). The parse runs before the service's request span
+// starts, so its time is exported on its own, as the
+// semimatch_parse_seconds histogram.
+//
 // Query parameters:
 //
 //	alg       algorithm name or alias from the solver registry (see GET
@@ -153,12 +160,12 @@
 //
 // # GET /metrics
 //
-// The same counters (plus request-latency and queue-wait histograms) in
-// Prometheus text exposition format 0.0.4, served from a dependency-free
-// registry. Families are prefixed semimatch_; the full taxonomy is in
-// the README's observability section. Counters are func-backed views of
-// the service's existing atomics, so scraping costs the request path
-// nothing.
+// The same counters (plus request-latency, body-parse and queue-wait
+// histograms) in Prometheus text exposition format 0.0.4, served from a
+// dependency-free registry. Families are prefixed semimatch_; the full
+// taxonomy is in the README's observability section. Counters are
+// func-backed views of the service's existing atomics, so scraping costs
+// the request path nothing.
 //
 // # GET /debug/solves
 //

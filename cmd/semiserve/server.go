@@ -78,6 +78,9 @@ type server struct {
 	// reqLatency is the semimatch_http_request_seconds histogram, living
 	// in the service's registry so one /metrics scrape covers both layers.
 	reqLatency *telemetry.Histogram
+	// parseLatency is semimatch_parse_seconds: decoding a /solve body
+	// into an instance, which runs before the service's request span.
+	parseLatency *telemetry.Histogram
 	// inflight caps concurrent /solve handlers. The service's own
 	// admission control only bounds solves; this bound also covers the
 	// per-request work done before a request reaches it — body
@@ -111,6 +114,8 @@ func newServer(svc *service.Service, cfg serverConfig) http.Handler {
 	}
 	s.reqLatency = svc.Metrics().Histogram("semimatch_http_request_seconds",
 		"HTTP request latency, handler entry to response end.", nil)
+	s.parseLatency = svc.Metrics().Histogram("semimatch_parse_seconds",
+		"Time to decode a /solve request body into an instance, failed decodes included.", parseBuckets)
 	s.svc.Metrics().CounterFunc("semimatch_peer_forwards_total",
 		"Solve requests forwarded to the replica owning their fingerprint.", s.fwd.forwards.Load)
 	s.svc.Metrics().CounterFunc("semimatch_peer_forward_errors_total",
@@ -268,7 +273,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -294,7 +299,9 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
+	parseStart := time.Now()
 	instance, fromJSON, err := parseInstance(body)
+	s.parseLatency.Observe(time.Since(parseStart).Seconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -368,6 +375,53 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// parseBuckets are semimatch_parse_seconds' bucket bounds: a paper-scale
+// body parses in about a millisecond, a small one in microseconds.
+var parseBuckets = []float64{
+	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1,
+}
+
+// maxBodyPrealloc caps the buffer readBody sizes from a declared
+// Content-Length before any byte arrives, so a client that declares a
+// large body and sends little pins no more than this; a body larger than
+// it grows as it is read.
+const maxBodyPrealloc = 1 << 20
+
+// readBody reads r's body, at most s.maxBody bytes, into one buffer sized
+// from the declared Content-Length (capped at maxBodyPrealloc), so a
+// paper-scale body is read without regrowing from io.ReadAll's 512-byte
+// start. A longer body, or one of unknown length, grows as io.ReadAll's
+// does. Only /solve uses it, where the -http-inflight slots bound how many
+// such buffers exist at once.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	buf := make([]byte, 0, bodyCap(r, min(s.maxBody, maxBodyPrealloc), 512))
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
+// bodyCap is the initial capacity of a buffer for r's body: its declared
+// Content-Length plus the byte a final read needs to see EOF without
+// regrowing, capped at limit+1; unknown when no length is declared.
+func bodyCap(r *http.Request, limit int64, unknown int) int {
+	if r.ContentLength < 0 {
+		return unknown
+	}
+	return int(min(r.ContentLength, limit) + 1)
+}
+
 // parseInstance decodes a request body: the encode text formats
 // ("bipartite ..." / "hypergraph ...") or the cmd/semisched JSON instance
 // schema (detected by a leading '{'), which is converted to its
@@ -388,16 +442,8 @@ func parseInstance(body []byte) (instance any, fromJSON bool, err error) {
 		}
 		return h, true, nil
 	}
-	kind, err := encode.DetectKind(body)
-	if err != nil {
-		return nil, false, err
-	}
-	if kind == "bipartite" {
-		g, err := encode.ReadBipartite(bytes.NewReader(body))
-		return g, false, err
-	}
-	h, err := encode.ReadHypergraph(bytes.NewReader(body))
-	return h, false, err
+	instance, err = encode.Parse(body)
+	return instance, false, err
 }
 
 func (s *server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {

@@ -433,3 +433,35 @@ func TestSolveDiskRestart(t *testing.T) {
 		t.Fatalf("restart was not a disk hit: %+v", st)
 	}
 }
+
+// TestReadBodyPreallocCapped: the buffer readBody sizes from a declared
+// Content-Length holds at most maxBodyPrealloc before any byte arrives,
+// so a client declaring the full -max-body and sending a few bytes pins
+// no more than that; a declared length within the cap is read without
+// regrowth, and a longer body is still read whole.
+func TestReadBodyPreallocCapped(t *testing.T) {
+	s := &server{maxBody: defaultMaxBody}
+	read := func(body string, declared int64) []byte {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(body))
+		r.ContentLength = declared
+		got, err := s.readBody(httptest.NewRecorder(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != body {
+			t.Fatalf("read %d bytes, want %d", len(got), len(body))
+		}
+		return got
+	}
+	if got := read("hypergraph", defaultMaxBody); cap(got) > maxBodyPrealloc+1 {
+		t.Fatalf("declared %d bytes, sent 10: buffer of %d bytes", defaultMaxBody, cap(got))
+	}
+	small := strings.Repeat("x", 400<<10)
+	if got := read(small, int64(len(small))); cap(got) != len(small)+1 {
+		t.Fatalf("%d-byte body read into a %d-byte buffer, want %d", len(small), cap(got), len(small)+1)
+	}
+	large := strings.Repeat("y", 3*maxBodyPrealloc)
+	read(large, int64(len(large)))
+	read(large, -1)
+}

@@ -242,7 +242,7 @@ type eventsResponse struct {
 func (s *server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ls *liveSession) {
 	m := s.sessions
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxBody))
-	sc.Buffer(make([]byte, 0, 64*1024), int(s.maxBody))
+	sc.Buffer(make([]byte, 0, bodyCap(r, 64<<10, 64<<10)), int(s.maxBody))
 	var resp eventsResponse
 	line := 0
 	for sc.Scan() {

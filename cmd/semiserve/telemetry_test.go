@@ -41,6 +41,7 @@ var metricFamilies = []string{
 	"semimatch_uptime_seconds",
 	"semimatch_queue_wait_seconds",
 	"semimatch_http_request_seconds",
+	"semimatch_parse_seconds",
 }
 
 // TestMetricsEndpoint scrapes GET /metrics after real traffic: every
@@ -112,6 +113,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	// cumulative.
 	if !bucketSawTraffic(t, text, "semimatch_http_request_seconds") {
 		t.Error("semimatch_http_request_seconds_count is zero after requests")
+	}
+	if !bucketSawTraffic(t, text, "semimatch_parse_seconds") {
+		t.Error("semimatch_parse_seconds_count is zero after a parsed request")
 	}
 	if !bucketSawTraffic(t, text, "semimatch_queue_wait_seconds") {
 		t.Error("semimatch_queue_wait_seconds_count is zero after a fresh solve")

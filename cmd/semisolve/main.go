@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -186,22 +185,11 @@ func fail(err error) {
 
 // readProblem decodes either text encoding into a solve.Problem.
 func readProblem(data []byte) (solve.Problem, error) {
-	kind, err := encode.DetectKind(data)
+	inst, err := encode.Parse(data)
 	if err != nil {
 		return solve.Problem{}, err
 	}
-	if kind == "bipartite" {
-		g, err := encode.ReadBipartite(bytes.NewReader(data))
-		if err != nil {
-			return solve.Problem{}, err
-		}
-		return solve.Bipartite(g), nil
-	}
-	h, err := encode.ReadHypergraph(bytes.NewReader(data))
-	if err != nil {
-		return solve.Problem{}, err
-	}
-	return solve.Hyper(h), nil
+	return solve.NewProblem(inst)
 }
 
 func describe(p solve.Problem) string {

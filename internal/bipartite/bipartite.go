@@ -15,6 +15,7 @@ package bipartite
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -97,18 +98,23 @@ func (g *Graph) Validate() error {
 	if g.W != nil && len(g.W) != len(g.Adj) {
 		return fmt.Errorf("bipartite: len(W)=%d, want %d", len(g.W), len(g.Adj))
 	}
-	seen := make(map[int32]struct{})
+	var tmp []int32 // a sorted copy of an unsorted row, for its duplicate check
 	for u := 0; u < g.NLeft; u++ {
 		row := g.Neighbors(u)
-		clear(seen)
 		for _, v := range row {
 			if v < 0 || int(v) >= g.NRight {
 				return fmt.Errorf("bipartite: edge (%d,%d) out of range", u, v)
 			}
-			if _, dup := seen[v]; dup {
-				return fmt.Errorf("bipartite: duplicate edge (%d,%d)", u, v)
+		}
+		if !slices.IsSorted(row) {
+			tmp = append(tmp[:0], row...)
+			slices.Sort(tmp)
+			row = tmp
+		}
+		for i := 1; i < len(row); i++ {
+			if row[i] == row[i-1] {
+				return fmt.Errorf("bipartite: duplicate edge (%d,%d)", u, row[i])
 			}
-			seen[v] = struct{}{}
 		}
 	}
 	if g.W != nil {
@@ -193,42 +199,60 @@ func (g *Graph) ReplicateRight(d int) *Graph {
 // Deterministic algorithms in this module assume sorted rows so that
 // tie-breaking by "first edge found" is reproducible.
 func (g *Graph) SortRows() {
+	var rs *rowSorter // allocated on the first weighted row out of order
 	for u := 0; u < g.NLeft; u++ {
 		lo, hi := g.Ptr[u], g.Ptr[u+1]
 		row := g.Adj[lo:hi]
-		if g.W == nil {
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		if slices.IsSorted(row) {
 			continue
 		}
-		wrow := g.W[lo:hi]
-		idx := make([]int, len(row))
-		for i := range idx {
-			idx[i] = i
+		if g.W == nil {
+			slices.Sort(row)
+			continue
 		}
-		sort.Slice(idx, func(i, j int) bool { return row[idx[i]] < row[idx[j]] })
-		ra := make([]int32, len(row))
-		wa := make([]int64, len(row))
-		for i, k := range idx {
-			ra[i], wa[i] = row[k], wrow[k]
+		if rs == nil {
+			rs = &rowSorter{}
 		}
-		copy(row, ra)
-		copy(wrow, wa)
+		rs.adj, rs.w = row, g.W[lo:hi]
+		sort.Sort(rs)
 	}
 }
 
+// rowSorter sorts one adjacency row and its weights together.
+type rowSorter struct {
+	adj []int32
+	w   []int64
+}
+
+func (r *rowSorter) Len() int           { return len(r.adj) }
+func (r *rowSorter) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
+func (r *rowSorter) Swap(i, j int) {
+	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
+	r.w[i], r.w[j] = r.w[j], r.w[i]
+}
+
 // Builder accumulates edges and produces a Graph. Edges may be added in any
-// order; Build lays them out in CSR order sorted by (left, right).
+// order; Build lays them out in CSR order sorted by (left, right). Build
+// copies into a fresh Graph, so a builder can be Reset and reused.
 type Builder struct {
 	nLeft, nRight int
 	us, vs        []int32
 	ws            []int64
 	weighted      bool
+	next          []int32 // Build scratch, kept for reuse
 }
 
 // NewBuilder returns a Builder for a graph with nLeft tasks and nRight
 // processors.
 func NewBuilder(nLeft, nRight int) *Builder {
 	return &Builder{nLeft: nLeft, nRight: nRight}
+}
+
+// Reset empties b for a graph with nLeft tasks and nRight processors,
+// keeping its storage.
+func (b *Builder) Reset(nLeft, nRight int) {
+	b.nLeft, b.nRight = nLeft, nRight
+	b.us, b.vs, b.ws, b.weighted = b.us[:0], b.vs[:0], b.ws[:0], false
 }
 
 // AddEdge records a unit-weight edge (u, v).
@@ -275,11 +299,10 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.weighted {
 		g.W = make([]int64, len(b.us))
 	}
-	next := make([]int32, b.nLeft)
-	copy(next, g.Ptr[:b.nLeft])
+	b.next = append(b.next[:0], g.Ptr[:b.nLeft]...)
 	for i := range b.us {
-		pos := next[b.us[i]]
-		next[b.us[i]]++
+		pos := b.next[b.us[i]]
+		b.next[b.us[i]]++
 		g.Adj[pos] = b.vs[i]
 		if g.W != nil {
 			g.W[pos] = b.ws[i]

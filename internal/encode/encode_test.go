@@ -2,8 +2,10 @@ package encode
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,5 +208,108 @@ func TestPropertyRoundTripGeneratedBipartite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLongHyperedgeLine: a valid hyperedge line longer than 4 MiB (a
+// common line-scanner token cap, past which a scanner fails with "token
+// too long") parses, through Parse and ReadHypergraph. Line length is
+// not limited; the header's processor count, at most MaxDim, bounds how
+// many processors a line may list.
+func TestLongHyperedgeLine(t *testing.T) {
+	const p = 700_000
+	var sb strings.Builder
+	sb.WriteString("hypergraph 1 " + strconv.Itoa(p) + " 1\n")
+	line := len(sb.String())
+	sb.WriteString("0 7 " + strconv.Itoa(p))
+	for u := p - 1; u >= 0; u-- {
+		sb.WriteString(" " + strconv.Itoa(u))
+	}
+	sb.WriteString("\n")
+	src := sb.String()
+	if n := len(src) - line; n <= 4<<20 {
+		t.Fatalf("test line is %d bytes, want more than 4 MiB", n)
+	}
+	inst, err := Parse([]byte(src))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	h, err := ReadHypergraph(strings.NewReader(src))
+	if err != nil {
+		t.Fatalf("ReadHypergraph: %v", err)
+	}
+	if !reflect.DeepEqual(inst, h) || h.NumPins() != p || h.EdgeProcs(0)[p-1] != p-1 {
+		t.Fatalf("long line misread: %d pins", h.NumPins())
+	}
+	// One processor more than the instance has is refused before the
+	// line is read, and the header's count stays capped at MaxDim.
+	if _, err := Parse([]byte("hypergraph 1 3 1\n0 1 4 0 1 2 3\n")); err == nil {
+		t.Fatal("hyperedge with more processors than the instance accepted")
+	}
+	if _, err := Parse([]byte("hypergraph 1 " + strconv.Itoa(MaxDim+1) + " 1\n0 1 1 0\n")); err == nil {
+		t.Fatal("processor count above MaxDim accepted")
+	}
+}
+
+// TestTokenizerVariants: what the tokenizer accepts beyond single spaces
+// and '\n', and the integer edge cases it rejects.
+func TestTokenizerVariants(t *testing.T) {
+	want := "hypergraph 2 3 2\n0 4 2 0 2\n1 1 1 1\n"
+	for _, src := range []string{
+		"hypergraph 2 3 2\r\n0 4 2 0 2\r\n1 1 1 1\r\n",
+		"hypergraph\t2\t3\t2\n\t0 4\t2 0 2\n1 1 1 1",
+		"hypergraph +2 +3 +2\n+0 +4 +2 -0 +2\n+1 1 1 1\n",
+		"# comment\n  # indented comment\n\nhypergraph 2 3 2\n\n0 4 2 0 2\n#\n1 1 1 1\n",
+		"hypergraph 2 3 2\n0 0004 2 00 2\n1 1 1 1\n",
+	} {
+		inst, err := Parse([]byte(src))
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteHypergraph(&buf, inst.(*hypergraph.Hypergraph)); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want {
+			t.Fatalf("%q read as %q", src, buf.String())
+		}
+	}
+	for _, src := range []string{
+		"# only a comment\n",
+		"hypergraph 1 1 1\n0 1 1 0x0\n",
+		"hypergraph 1 1 1\n0 9223372036854775808 1 0\n",  // weight overflows int64
+		"bipartite 1 1 unit\n4294967296 0\n",             // task index overflows int32
+		"bipartite 1 1 unit\n0 - \n",                     // sign without digits
+		"hypergraph 1 1 1\n0 1 1 0 # trailing comment\n", // comments take whole lines
+		"bipartite 1 1 unit extra\n0 0\n",
+	} {
+		if _, err := Parse([]byte(src)); err == nil {
+			t.Fatalf("%q accepted", src)
+		}
+	}
+}
+
+// errReader yields its data, then a read error.
+type errReader struct {
+	data []byte
+	err  error
+}
+
+func (r *errReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReadErrorWins: ReadHypergraph reports the reader's error, not the
+// truncated instance it would have caused.
+func TestReadErrorWins(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := ReadHypergraph(&errReader{data: []byte("hypergraph 2 2 2\n0 1 1 0\n"), err: boom})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the read error", err)
 	}
 }

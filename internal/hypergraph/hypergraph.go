@@ -18,7 +18,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Hypergraph is an immutable MULTIPROC instance. Construct with a Builder.
@@ -218,35 +218,51 @@ func (h *Hypergraph) ToBipartite() (nTasks, nProcs int, edges [][3]int64, err er
 // them by task, renumbering so that hyperedge ids are contiguous per task
 // (task order, then insertion order). Build reports the new ids implicitly:
 // TaskEdges(t) lists them in insertion order.
+//
+// The processor lists are kept in one flat slice, so adding a hyperedge
+// allocates nothing once the builder's storage has grown. Build copies
+// into a fresh Hypergraph, so a builder can be Reset and reused.
 type Builder struct {
 	nTasks, nProcs int
 	owners         []int32
-	procSets       [][]int32
 	weights        []int64
+	pinPtr         []int32 // edge i's processors are pins[pinPtr[i]:pinPtr[i+1]]
+	pins           []int32
+	pos, next      []int32 // Build scratch, kept for reuse
 }
 
 // NewBuilder returns a Builder for nTasks tasks and nProcs processors.
 func NewBuilder(nTasks, nProcs int) *Builder {
-	return &Builder{nTasks: nTasks, nProcs: nProcs}
+	return &Builder{nTasks: nTasks, nProcs: nProcs, pinPtr: []int32{0}}
+}
+
+// Reset empties b for an instance of nTasks tasks and nProcs processors,
+// keeping its storage.
+func (b *Builder) Reset(nTasks, nProcs int) {
+	b.nTasks, b.nProcs = nTasks, nProcs
+	b.owners, b.weights, b.pins = b.owners[:0], b.weights[:0], b.pins[:0]
+	b.pinPtr = append(b.pinPtr[:0], 0)
 }
 
 // AddEdge records a configuration for task t: it may run on all processors
 // in procs (each receiving weight w). The procs slice is copied.
 func (b *Builder) AddEdge(t int, procs []int, w int64) {
-	ps := make([]int32, len(procs))
-	for i, p := range procs {
-		ps[i] = int32(p)
+	for _, p := range procs {
+		b.pins = append(b.pins, int32(p))
 	}
-	b.owners = append(b.owners, int32(t))
-	b.procSets = append(b.procSets, ps)
-	b.weights = append(b.weights, w)
+	b.endEdge(int32(t), w)
 }
 
 // AddEdge32 is AddEdge for an []int32 processor list (copied).
 func (b *Builder) AddEdge32(t int32, procs []int32, w int64) {
+	b.pins = append(b.pins, procs...)
+	b.endEdge(t, w)
+}
+
+func (b *Builder) endEdge(t int32, w int64) {
 	b.owners = append(b.owners, t)
-	b.procSets = append(b.procSets, append([]int32(nil), procs...))
 	b.weights = append(b.weights, w)
+	b.pinPtr = append(b.pinPtr, int32(len(b.pins)))
 }
 
 // NumEdges returns the number of hyperedges recorded so far.
@@ -269,47 +285,44 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		}
 		h.TaskPtr[t+1] += h.TaskPtr[t]
 	}
-	// Renumber hyperedges grouped by task, preserving insertion order.
-	perm := make([]int32, m) // perm[old] = new id
-	next := make([]int32, b.nTasks)
-	copy(next, h.TaskPtr[:b.nTasks])
+	// Renumber hyperedges grouped by task, preserving insertion order:
+	// pos[old] is the new id.
+	b.next = append(b.next[:0], h.TaskPtr[:b.nTasks]...)
+	b.pos = slices.Grow(b.pos[:0], m)[:m]
 	for old, t := range b.owners {
-		perm[old] = next[t]
-		next[t]++
+		b.pos[old] = b.next[t]
+		b.next[t]++
 	}
 	h.Owner = make([]int32, m)
 	h.Weight = make([]int64, m)
 	h.Edges = make([]int32, m)
-	sizes := make([]int32, m)
-	for old := 0; old < m; old++ {
-		e := perm[old]
-		h.Owner[e] = b.owners[old]
-		h.Weight[e] = b.weights[old]
-		if b.weights[old] <= 0 {
-			return nil, fmt.Errorf("hypergraph: non-positive weight %d", b.weights[old])
+	h.PinPtr = make([]int32, m+1)
+	for old, e := range b.pos {
+		w := b.weights[old]
+		if w <= 0 {
+			return nil, fmt.Errorf("hypergraph: non-positive weight %d", w)
 		}
-		if b.weights[old] != 1 {
+		if w != 1 {
 			h.unit = false
 		}
-		sizes[e] = int32(len(b.procSets[old]))
-	}
-	for e := int32(0); int(e) < m; e++ {
+		h.Owner[e] = b.owners[old]
+		h.Weight[e] = w
 		h.Edges[e] = e // identity: edges are grouped by task already
+		h.PinPtr[e+1] = b.pinPtr[old+1] - b.pinPtr[old]
 	}
-	h.PinPtr = make([]int32, m+1)
 	for e := 0; e < m; e++ {
-		h.PinPtr[e+1] = h.PinPtr[e] + sizes[e]
+		h.PinPtr[e+1] += h.PinPtr[e]
 	}
-	h.Pins = make([]int32, h.PinPtr[m])
-	for old := 0; old < m; old++ {
-		e := perm[old]
-		procs := b.procSets[old]
-		if len(procs) == 0 {
+	h.Pins = make([]int32, len(b.pins))
+	for old, e := range b.pos {
+		dst := h.Pins[h.PinPtr[e]:h.PinPtr[e+1]]
+		if len(dst) == 0 {
 			return nil, fmt.Errorf("hypergraph: empty processor set on a configuration of task %d", b.owners[old])
 		}
-		dst := h.Pins[h.PinPtr[e]:h.PinPtr[e+1]]
-		copy(dst, procs)
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+		copy(dst, b.pins[b.pinPtr[old]:b.pinPtr[old+1]])
+		if !slices.IsSorted(dst) {
+			slices.Sort(dst)
+		}
 		for i, u := range dst {
 			if u < 0 || int(u) >= b.nProcs {
 				return nil, fmt.Errorf("hypergraph: processor %d out of range [0,%d)", u, b.nProcs)
