@@ -58,7 +58,8 @@
 //	  "targets": [...], "concurrency": 16, "seed": 1,
 //	  "mix": {"repeat_pct": 55, "iso_pct": 20, "miss_pct": 20, "long_pct": 5},
 //	  "warmup": 8, "duration_s": 10.0,
-//	  "requests": 1234, "errors": 0, "shed": 0, "truncated": 31,
+//	  "requests": 1234, "errors": 2, "shed": 3, "truncated": 31,
+//	  "by_status": {"429": 3, "504": 2},
 //	  "qps": 123.4,
 //	  "latency_p50_ms": 1.2, "latency_p95_ms": 9.8, "latency_p99_ms": 201.0,
 //	  "tiers": {"memory": 600, "peer": 14, "none": 120},
@@ -72,7 +73,10 @@
 //	}
 //
 // tiers counts 200 responses by cache_tier ("none" = fresh solve);
-// shed counts 429s; target_metrics holds each process's
+// shed counts 429s; by_status counts every non-200 response by HTTP
+// status code (the 429s again, plus the codes behind errors; transport
+// failures have no code and count in errors only), and the text summary
+// prints the same breakdown; target_metrics holds each process's
 // semimatch_*_total counter movement over the measured window (after
 // minus before, zero deltas omitted) — a fleet run is healthy when some
 // replica's semimatch_peer_hits_total delta is nonzero.

@@ -23,7 +23,7 @@
 //	semiserve -cache-dir /var/cache/semimatch  # durable cache tier
 //	semiserve -deadline 2s             # default per-request budget
 //	semiserve -http-inflight 32 -max-body 4194304  # tighter memory bounds
-//	semiserve -refine                  # local search on auto-policy schedules
+//	semiserve -refine                  # local search on every MULTIPROC schedule
 //	semiserve -log-level debug         # structured access logs (off silences them)
 //	semiserve -ledger solves.jsonl     # append one solve-ledger record per solve
 //	semiserve -trace traces.ndjson     # NDJSON request-span trees ("-" = stderr)
@@ -55,10 +55,13 @@
 // Query parameters:
 //
 //	alg       algorithm name or alias from the solver registry (see GET
-//	          /algorithms); empty selects the auto policy — the batch
-//	          pipeline (portfolio, then exact branch-and-bound when small
-//	          enough) for hypergraphs, ExactUnit/expected for bipartite
-//	          instances.
+//	          /algorithms); empty selects the auto policy of the solve
+//	          API, the same for both classes and the same as semisolve's
+//	          and the library's Run: a heuristic race (the portfolio for
+//	          hypergraphs, the greedy lineup for bipartite instances),
+//	          then an exact stage when it applies — ExactUnit for unit
+//	          bipartite instances of any size, branch and bound for
+//	          instances of at most 16 tasks.
 //	deadline  per-request budget as a Go duration ("500ms", "5s"),
 //	          capped by -max-deadline; without it the server's -deadline
 //	          default applies. When the budget expires mid-solve the
@@ -70,7 +73,10 @@
 //	{
 //	  "kind": "hypergraph",            // bipartite | hypergraph
 //	  "fingerprint": "4f1c…",          // canonical content hash (SHA-256)
-//	  "algorithm": "auto:EVG",         // solver, or auto:<winning source>
+//	  "algorithm": "auto:EVG",         // the named solver, or for auto
+//	                                   // requests (both classes)
+//	                                   // auto:<solver that produced the
+//	                                   // schedule>
 //	  "makespan": 42,
 //	  "lower_bound": 40,               // strongest proven lower bound;
 //	                                   // makespan − lower_bound is the gap
@@ -111,7 +117,10 @@
 // answers previously solved instances, including isomorphic
 // restatements, from disk. Entries are re-verified on load; a corrupt,
 // truncated, stale-version or tampered file is skipped and reaped, never
-// served.
+// served. Auto requests are keyed "auto" for both classes; bipartite auto
+// results persisted by earlier versions, which keyed them by the solver
+// they resolved to ("ExactUnit", "expected"), are not looked up any more,
+// so each such instance misses the disk tier once and is solved again.
 //
 // Errors are {"error": "..."} with status 400 (malformed instance,
 // unknown algorithm, bad deadline), 429 (admission queue full, or more

@@ -1,10 +1,12 @@
 package semimatch_test
 
 // The API-compatibility golden suite of the Problem → Run → Report
-// redesign: every pre-redesign public entry point must keep compiling,
-// keep working, and produce the same makespans as the unified Run on
-// seeded instances. If an intentional API change breaks this suite,
-// update it together with docs/api-surface.txt (the CI surface guard).
+// redesign: every pre-redesign public entry point that Run does not
+// duplicate must keep compiling, keep working, and produce the same
+// makespans as the unified Run on seeded instances. (The batch, portfolio
+// and branch-and-bound wrappers were removed in favour of Run with its
+// options.) If an intentional API change breaks this suite, update it
+// together with docs/api-surface.txt (the CI surface guard).
 
 import (
 	"context"
@@ -94,7 +96,7 @@ func TestCompatSingleProcHeuristics(t *testing.T) {
 }
 
 // TestCompatSingleProcExact: ExactUnit, Harvey and the branch-and-bound
-// pair agree with each other and with Run on unit instances.
+// pair agree with each other and with Run.
 func TestCompatSingleProcExact(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := seededGraph(t, seed)
@@ -110,25 +112,20 @@ func TestCompatSingleProcExact(t *testing.T) {
 			t.Fatalf("seed %d Harvey: %d, want %d", seed, got, opt)
 		}
 
-		// Weighted branch and bound, sequential and parallel, old and new.
+		// Weighted branch and bound, sequential and parallel, and the
+		// auto policy's exact stage.
 		w := seededWeightedGraph(seed, 12, 4)
 		pw := semimatch.GraphProblem(w)
-		_, m1, err := semimatch.SolveSingleProc(w, semimatch.BnBOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, m2, err := semimatch.SolveSingleProcPar(w, semimatch.BnBOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m1 != m2 {
-			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, m1, m2)
-		}
-		if got := runMakespan(t, pw, "BnB-SP"); got != m1 {
-			t.Fatalf("seed %d BnB-SP: flat %d, Run %d", seed, m1, got)
-		}
+		m1 := runMakespan(t, pw, "BnB-SP")
 		if got := runMakespan(t, pw, "bnb-par", semimatch.WithWorkers(2)); got != m1 {
-			t.Fatalf("seed %d BnB-SP-Par via Run: want %d", seed, m1)
+			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, m1, got)
+		}
+		rep, err := semimatch.Run(context.Background(), pw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Makespan != m1 || !rep.Optimal() {
+			t.Fatalf("seed %d: auto (%d, %s), BnB-SP optimum %d", seed, rep.Makespan, rep.Status, m1)
 		}
 	}
 }
@@ -163,71 +160,38 @@ func TestCompatMultiProc(t *testing.T) {
 
 		small := seededHyper(t, seed+10, 12)
 		ps := semimatch.HypergraphProblem(small)
-		_, m1, err := semimatch.SolveMultiProc(small, semimatch.BnBOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, m2, err := semimatch.SolveMultiProcPar(small, semimatch.BnBOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m1 != m2 {
-			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, m1, m2)
-		}
-		if got := runMakespan(t, ps, "BnB-MP"); got != m1 {
-			t.Fatalf("seed %d BnB-MP: flat %d, Run %d", seed, m1, got)
+		m1 := runMakespan(t, ps, "BnB-MP")
+		if got := runMakespan(t, ps, "bnb-par", semimatch.WithWorkers(2)); got != m1 {
+			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, m1, got)
 		}
 	}
 }
 
-// TestCompatPortfolio: the flat Portfolio and Run's auto policy with the
-// exact stage disabled are the same race, same winner, same makespan.
+// TestCompatPortfolio: Run's auto policy with the exact stage disabled
+// is a race of the refined members — its makespan is the best member's,
+// and its winner is a member that reaches it.
 func TestCompatPortfolio(t *testing.T) {
+	members := []string{"SGH", "VGH", "EGH", "EVG"}
 	for seed := int64(0); seed < 3; seed++ {
 		h := seededHyper(t, seed, 30)
-		res, err := semimatch.Portfolio(h, semimatch.PortfolioOptions{Refine: true})
+		p := semimatch.HypergraphProblem(h)
+		rep, err := semimatch.Run(context.Background(), p,
+			semimatch.WithPortfolio(members...), semimatch.WithRefine(), semimatch.WithExactLimit(-1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
-			semimatch.WithRefine(), semimatch.WithExactLimit(-1))
-		if err != nil {
-			t.Fatal(err)
+		best := int64(-1)
+		for _, m := range members {
+			got := runMakespan(t, p, m, semimatch.WithRefine())
+			if best < 0 || got < best {
+				best = got
+			}
+			if m == rep.Solver && got != rep.Makespan {
+				t.Fatalf("seed %d: winner %s makespan %d, alone %d", seed, m, rep.Makespan, got)
+			}
 		}
-		if rep.Makespan != res.Makespan || rep.Solver != res.Winner {
-			t.Fatalf("seed %d: Portfolio (%d, %s) vs Run (%d, %s)",
-				seed, res.Makespan, res.Winner, rep.Makespan, rep.Solver)
-		}
-	}
-}
-
-// TestCompatSolveBatch: the deprecated hypergraph-only SolveBatch and the
-// class-generic SolveProblems report identical makespans, sources and
-// optimality on the same instances.
-func TestCompatSolveBatch(t *testing.T) {
-	var instances []*semimatch.Hypergraph
-	var problems []semimatch.Problem
-	for seed := int64(0); seed < 8; seed++ {
-		h := seededHyper(t, seed+20, 8+int(seed))
-		instances = append(instances, h)
-		problems = append(problems, semimatch.HypergraphProblem(h))
-	}
-	old, err := semimatch.SolveBatch(context.Background(), instances, semimatch.BatchOptions{Refine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range old {
-		if old[i].Err != nil || outs[i].Err != nil {
-			t.Fatalf("instance %d: %v / %v", i, old[i].Err, outs[i].Err)
-		}
-		rep := outs[i].Report
-		if old[i].Makespan != rep.Makespan || old[i].Optimal != rep.Optimal() {
-			t.Fatalf("instance %d: SolveBatch (%d, %v) vs SolveProblems (%d, %v)",
-				i, old[i].Makespan, old[i].Optimal, rep.Makespan, rep.Optimal())
+		if rep.Makespan != best {
+			t.Fatalf("seed %d: race %d (%s), best member %d", seed, rep.Makespan, rep.Solver, best)
 		}
 	}
 }
@@ -291,65 +255,57 @@ func TestCompatServiceAndFingerprint(t *testing.T) {
 // flags the doc diff).
 func TestCompatSymbolLedger(t *testing.T) {
 	var (
-		_ semimatch.Solver           //nolint
-		_ semimatch.SolverOptions    //nolint
-		_ semimatch.SolverClass      //nolint
-		_ semimatch.SolverKind       //nolint
-		_ semimatch.SolverCost       //nolint
-		_ semimatch.Graph            //nolint
-		_ semimatch.GraphBuilder     //nolint
-		_ semimatch.Hypergraph       //nolint
-		_ semimatch.Assignment       //nolint
-		_ semimatch.HyperAssignment  //nolint
-		_ semimatch.GreedyOptions    //nolint
-		_ semimatch.HyperOptions     //nolint
-		_ semimatch.ExactOptions     //nolint
-		_ semimatch.RefineOptions    //nolint
-		_ semimatch.RefineResult     //nolint
-		_ semimatch.PortfolioOptions //nolint
-		_ semimatch.PortfolioResult  //nolint
-		_ semimatch.OnlineScheduler  //nolint
-		_ semimatch.BatchOptions     //nolint
-		_ semimatch.BatchRunner      //nolint
-		_ semimatch.BnBOptions       //nolint
-		_ semimatch.BnBStats         //nolint
-		_ semimatch.Generator        //nolint
-		_ semimatch.WeightScheme     //nolint
-		_ semimatch.HyperParams      //nolint
-		_ semimatch.X3C              //nolint
-		_ semimatch.Config           //nolint
-		_ semimatch.Task             //nolint
-		_ semimatch.Instance         //nolint
-		_ semimatch.Schedule         //nolint
-		_ semimatch.Timeline         //nolint
-		_ semimatch.Algorithm        //nolint
-		_ semimatch.Service          //nolint
-		_ semimatch.ServiceOptions   //nolint
-		_ semimatch.ServiceResult    //nolint
-		_ semimatch.ServiceStats     //nolint
-		_ semimatch.Certificate      //nolint
-		_ semimatch.CertWitness      //nolint
-		_ semimatch.WitnessKind      //nolint
-		_ semimatch.TrustTier        //nolint
+		_ semimatch.Solver          //nolint
+		_ semimatch.SolverOptions   //nolint
+		_ semimatch.SolverClass     //nolint
+		_ semimatch.SolverKind      //nolint
+		_ semimatch.SolverCost      //nolint
+		_ semimatch.Graph           //nolint
+		_ semimatch.GraphBuilder    //nolint
+		_ semimatch.Hypergraph      //nolint
+		_ semimatch.Assignment      //nolint
+		_ semimatch.HyperAssignment //nolint
+		_ semimatch.GreedyOptions   //nolint
+		_ semimatch.HyperOptions    //nolint
+		_ semimatch.ExactOptions    //nolint
+		_ semimatch.RefineOptions   //nolint
+		_ semimatch.RefineResult    //nolint
+		_ semimatch.OnlineScheduler //nolint
+		_ semimatch.BatchOutcome    //nolint
+		_ semimatch.BnBOptions      //nolint
+		_ semimatch.BnBStats        //nolint
+		_ semimatch.Generator       //nolint
+		_ semimatch.WeightScheme    //nolint
+		_ semimatch.HyperParams     //nolint
+		_ semimatch.X3C             //nolint
+		_ semimatch.Config          //nolint
+		_ semimatch.Task            //nolint
+		_ semimatch.Instance        //nolint
+		_ semimatch.Schedule        //nolint
+		_ semimatch.Timeline        //nolint
+		_ semimatch.Algorithm       //nolint
+		_ semimatch.Service         //nolint
+		_ semimatch.ServiceOptions  //nolint
+		_ semimatch.ServiceResult   //nolint
+		_ semimatch.ServiceStats    //nolint
+		_ semimatch.Certificate     //nolint
+		_ semimatch.CertWitness     //nolint
+		_ semimatch.WitnessKind     //nolint
+		_ semimatch.TrustTier       //nolint
 	)
 	var _ = []any{
 		semimatch.Solvers, semimatch.LookupSolver, semimatch.LookupClassSolver,
 		semimatch.NewGraphBuilder, semimatch.NewHypergraphBuilder,
 		semimatch.LowerBoundSingle, semimatch.LowerBound,
 		semimatch.ExactUnit, semimatch.HarveyOptimal,
-		semimatch.Refine, semimatch.RefineCtx,
-		semimatch.Portfolio, semimatch.PortfolioCtx,
+		semimatch.Refine,
 		semimatch.NewOnlineScheduler, semimatch.OnlineReplay, semimatch.OnlineCompetitiveRatio,
 		semimatch.Loads, semimatch.Makespan, semimatch.ValidateAssignment,
 		semimatch.HyperLoads, semimatch.HyperMakespan, semimatch.ValidateHyperAssignment,
-		semimatch.SolveSingleProc, semimatch.SolveMultiProc,
-		semimatch.SolveSingleProcCtx, semimatch.SolveMultiProcCtx,
-		semimatch.SolveSingleProcPar, semimatch.SolveMultiProcPar,
-		semimatch.SolveSingleProcParCtx, semimatch.SolveMultiProcParCtx,
-		semimatch.NewBatchRunner, semimatch.SolveBatch, semimatch.SolveProblems,
+		semimatch.SolveProblems,
 		semimatch.GenerateBipartite, semimatch.GenerateHypergraph,
 		semimatch.Fig1, semimatch.Chain, semimatch.ChainPlus, semimatch.ExpectedTrap,
-		semimatch.NewInstance, semimatch.Solve, semimatch.SolveByName,
+		semimatch.NewInstance, semimatch.Solve,
 		semimatch.Fingerprint, semimatch.NewService,
 		semimatch.Verify, semimatch.CertBounds, semimatch.WithVerify,
 		semimatch.WriteGraph, semimatch.ReadGraph,

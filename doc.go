@@ -68,16 +68,14 @@
 //
 // SolveProblems shards many Problems — both classes freely mixed — across
 // a GOMAXPROCS-wide worker pool with per-problem error isolation; each
-// problem runs the auto policy:
+// problem is solved by Run with the same options (one solver worker per
+// problem unless WithWorkers says otherwise):
 //
-//	outcomes, err := semimatch.SolveProblems(ctx, problems, semimatch.BatchOptions{
-//	    Refine: true,                       // local search on every candidate
-//	    InstanceTimeout: time.Second,       // per-problem budget
-//	})
+//	outcomes, err := semimatch.SolveProblems(ctx, problems,
+//	    semimatch.WithRefine(),              // local search on every candidate
+//	    semimatch.WithDeadline(time.Second), // per-problem budget
+//	)
 //	// outcomes[i].Report.Makespan, .Status, outcomes[i].Err ...
-//
-// SolveBatch is the deprecated hypergraph-only wrapper over the same
-// runner.
 //
 // # Direct algorithm access
 //
@@ -85,12 +83,14 @@
 // SINGLEPROC-UNIT solver (ExactUnit, deadline search over capacitated
 // matchings; HarveyOptimal as an independent baseline), the greedy
 // heuristics basic/sorted/double-sorted/expected (bipartite) and
-// SGH/VGH/EGH/EVG (hypergraph), the Eq. (1) lower bound, branch-and-bound
-// exact solvers for small NP-hard instances — sequential and
-// work-stealing parallel — the paper's random instance generators and
-// worst-case families, and a scheduling front end (named tasks and
-// processors, Gantt charts). These are thin wrappers over the same
-// machinery Run dispatches to.
+// SGH/VGH/EGH/EVG (hypergraph), the Eq. (1) lower bound, local-search
+// refinement, the paper's random instance generators and worst-case
+// families, and a scheduling front end (named tasks and processors, Gantt
+// charts). These are thin wrappers over the same machinery Run dispatches
+// to. The branch-and-bound solvers for small NP-hard instances —
+// sequential and work-stealing parallel — are reached through Run:
+// WithAlgorithm("bnb") or WithAlgorithm("bnb-par"), with WithNodeBudget
+// and WithDeadline bounding the search.
 //
 // # Solver discovery
 //

@@ -1,29 +1,15 @@
-// Package batch solves many instances at once on a worker pool — the
-// sharding/batching layer that turns the per-instance solvers into a
-// throughput-oriented subsystem. Since the unified solve API landed, the
-// batch is class-generic: a work item is a solve.Problem (SINGLEPROC
-// bipartite or MULTIPROC hypergraph, freely mixed in one batch), and each
-// one runs the solve package's auto policy:
-//
-//  1. heuristic race first — the portfolio for hypergraphs, the greedy
-//     lineup for bipartite graphs — which always produces a schedule
-//     quickly;
-//  2. exact second, when the instance allows it — ExactUnit for unit
-//     bipartite instances, a budgeted branch-and-bound for small ones —
-//     which either proves optimality or improves the incumbent;
-//  3. fallback on timeout — every stage observes the context, so an
-//     expiring per-instance or batch deadline degrades the answer (best
-//     schedule found so far) instead of aborting it.
+// Package batch solves many instances at once on a worker pool. A work
+// item is a solve.Problem (SINGLEPROC bipartite or MULTIPROC hypergraph,
+// freely mixed in one batch), and each one is answered by
+// solve.RunOptions with the caller's options — by default the auto
+// policy: a heuristic race, then an exact stage when the instance allows
+// it, with the best schedule so far kept when a deadline expires.
 //
 // Failures are isolated per instance: an empty problem, a panic, or a
 // timeout in one work item is recorded in its Outcome and never poisons
-// its siblings. Makespans are deterministic: for a given instance and
-// options the reported quality does not depend on the worker count or on
-// goroutine timing (deadlines excepted, by nature). Since the exact stage
-// moved onto the parallel branch-and-bound engine, the schedule identity
-// may vary across runs when several co-optimal schedules exist — the
-// engine proves the same optimal makespan every time, but which optimal
-// assignment wins a race is timing-dependent.
+// its siblings. Makespans do not depend on the pool width; the schedule
+// identity may vary across runs when several co-optimal schedules exist
+// and a parallel exact stage races to one of them.
 package batch
 
 import (
@@ -33,71 +19,13 @@ import (
 	"sync"
 	"time"
 
-	"semimatch/internal/core"
-	"semimatch/internal/hypergraph"
-	"semimatch/internal/registry"
 	"semimatch/internal/solve"
 )
 
-// Defaults for the exact-solve stage of the per-instance policy (shared
-// with the solve package, which implements the policy).
-const (
-	// DefaultExactTaskLimit is the largest instance (in tasks) that gets a
-	// branch-and-bound attempt when Options.ExactTaskLimit is zero.
-	DefaultExactTaskLimit = solve.DefaultExactTaskLimit
-	// DefaultExactNodes is the branch-and-bound node budget when
-	// Options.ExactNodes is zero — small enough to bound each attempt to
-	// tens of milliseconds.
-	DefaultExactNodes = solve.DefaultExactNodes
-)
-
-// Options configures a batch run.
-type Options struct {
-	// Workers bounds the pool; 0 means GOMAXPROCS.
-	Workers int
-	// InstanceTimeout is a per-instance deadline layered under the batch
-	// context; 0 means none. When it expires the instance keeps the best
-	// schedule found so far.
-	InstanceTimeout time.Duration
-	// Algorithms restricts the heuristic-race stage; nil means the
-	// class's full default lineup. Names resolve in each problem class
-	// present in the batch, so a mixed batch needs names valid in both.
-	Algorithms []string
-	// Refine post-processes every hypergraph candidate with local search.
-	Refine bool
-	// ExactTaskLimit is the largest instance that also gets an exact
-	// branch-and-bound attempt; 0 means DefaultExactTaskLimit, negative
-	// disables the exact stage entirely.
-	ExactTaskLimit int
-	// ExactNodes is the branch-and-bound node budget; 0 means
-	// DefaultExactNodes.
-	ExactNodes int64
-	// ExactWorkers bounds the exact stage's internal worker pool per
-	// instance. 0 means automatic: GOMAXPROCS divided by the batch pool
-	// width, at least 1. Callers that run many Runner invocations
-	// concurrently themselves (e.g. the service) should set it so total
-	// goroutines stay near the core count.
-	ExactWorkers int
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) exactNodes() int64 {
-	if o.ExactNodes <= 0 {
-		return DefaultExactNodes
-	}
-	return o.ExactNodes
-}
-
-// Outcome is the per-problem result of RunProblems: the unified solve
-// Report, or this problem's failure. Exactly one of the two is nil —
-// except when the auto policy's exact stage failed unexpectedly, in which
-// case the heuristic-stage Report accompanies the error.
+// Outcome is the per-problem result of Solve: the unified solve Report,
+// or this problem's failure. Exactly one of the two is nil — except when
+// the auto policy's exact stage failed unexpectedly, in which case the
+// heuristic-stage Report accompanies the error.
 type Outcome struct {
 	Report *solve.Report
 	Err    error
@@ -106,134 +34,20 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// Result is the legacy hypergraph-only outcome shape of Runner.Run,
-// derived from an Outcome.
-//
-// Deprecated: use RunProblems and Outcome, which cover both problem
-// classes and carry the full solve Report.
-type Result struct {
-	// Assignment is the best schedule found; nil only when Err is set and
-	// no stage produced a schedule.
-	Assignment core.HyperAssignment
-	Makespan   int64
-	// Source names what produced the schedule: a portfolio member
-	// ("SGH", ...), the exact solver's registry name ("BnB-MP", proven
-	// optimal), or that name suffixed "-incumbent" (a budget- or
-	// deadline-truncated run that still beat the portfolio).
-	Source string
-	// Optimal reports that the exact stage proved this schedule optimal.
-	Optimal bool
-	// Err is this instance's failure, if any; other instances are
-	// unaffected.
-	Err error
-	// Elapsed is the wall-clock time spent on this instance.
-	Elapsed time.Duration
-}
-
-// SourceLabel renders a Report's provenance in the legacy Result
-// vocabulary: the producing solver's canonical name, suffixed
-// "-incumbent" when the schedule came from a truncated exact search.
-func SourceLabel(rep *solve.Report) string {
-	if rep == nil {
-		return ""
-	}
-	if rep.Status == solve.StatusTruncated {
-		if s, err := registry.LookupClass(rep.Class, rep.Solver); err == nil && s.Kind == registry.Exact {
-			return rep.Solver + "-incumbent"
-		}
-	}
-	return rep.Solver
-}
-
-// legacy converts an Outcome to the deprecated Result shape.
-func (o Outcome) legacy() Result {
-	res := Result{Err: o.Err, Elapsed: o.Elapsed}
-	if rep := o.Report; rep != nil {
-		res.Assignment = core.HyperAssignment(rep.Assignment)
-		res.Makespan = rep.Makespan
-		res.Source = SourceLabel(rep)
-		res.Optimal = rep.Status == solve.StatusOptimal
-	}
-	return res
-}
-
-// Runner is a reusable batch solver.
-type Runner struct {
-	opts Options
-}
-
-// New returns a Runner with the given options.
-func New(opts Options) *Runner { return &Runner{opts: opts} }
-
-// exactWorkers budgets the exact stage's internal worker pool so the
-// batch as a whole stays at roughly GOMAXPROCS goroutines: the pool
-// already owns workers() cores, so each in-flight exact solve gets the
-// leftover share (at least 1 — which still buys the parallel engine's
-// stronger pruning). Options.ExactWorkers overrides the automatic
-// budget for callers whose concurrency the Runner cannot see.
-func (r *Runner) exactWorkers() int {
-	if r.opts.ExactWorkers > 0 {
-		return r.opts.ExactWorkers
-	}
-	if w := runtime.GOMAXPROCS(0) / r.opts.workers(); w > 1 {
-		return w
-	}
-	return 1
-}
-
-// validate fails fast on algorithm names that do not resolve in the
-// class of some problem in the batch, so a bad Options value is an
-// upfront error rather than N per-instance ones.
-func (r *Runner) validate(problems []solve.Problem) error {
-	if len(r.opts.Algorithms) == 0 {
-		return nil
-	}
-	var checked [2]bool
-	for _, p := range problems {
-		if p.Validate() != nil {
-			continue
-		}
-		c := p.Class()
-		if checked[c] {
-			continue
-		}
-		checked[c] = true
-		if _, _, err := registry.ResolveClass(c, r.opts.Algorithms, nil); err != nil {
-			return fmt.Errorf("batch: %w", err)
-		}
-	}
-	return nil
-}
-
-// RunProblems solves every problem — SINGLEPROC and MULTIPROC freely
-// mixed — and returns one Outcome per problem, in input order. A
-// configuration error (an algorithm name unknown in some problem's class)
-// fails the whole batch up front with nil results; per-problem failures
-// land in the matching Outcome.Err. When ctx is cancelled mid-batch
-// RunProblems returns promptly with the partial results alongside ctx's
-// error: in-flight solvers stop at their next context poll (keeping their
-// best schedule so far) and problems that never started carry a "not
-// started" error.
-func (r *Runner) RunProblems(ctx context.Context, problems []solve.Problem) ([]Outcome, error) {
-	return r.RunProblemsWith(ctx, problems, nil)
-}
-
-// RunProblemsWith is RunProblems with a per-solve options hook: mod (nil
-// means none) runs on each problem's solve.Options after the Runner's
-// policy fields are filled, so callers can attach observability — a trace
-// span, a progress hook, a ledger — without owning the policy itself. The
-// service uses it to surface live search introspection from auto solves.
-// mod must be safe for concurrent calls (one per in-flight problem) and
-// must not change fields the Runner owns (Workers, budgets, deadlines).
-func (r *Runner) RunProblemsWith(ctx context.Context, problems []solve.Problem, mod func(*solve.Options)) ([]Outcome, error) {
-	if err := r.validate(problems); err != nil {
-		return nil, err
-	}
+// Solve runs solve.RunOptions(ctx, problem, opts) for every problem on a
+// pool of workers goroutines (0 means GOMAXPROCS) and returns one Outcome
+// per problem, in input order. opts applies to every problem, so an
+// Observer or Progress hook in it must be safe for concurrent calls. When
+// ctx is cancelled mid-batch Solve returns promptly with the partial
+// results alongside ctx's error: in-flight solves stop at their next
+// context poll (keeping their best schedule so far) and problems that
+// never started carry a "not started" error.
+func Solve(ctx context.Context, workers int, problems []solve.Problem, opts solve.Options) ([]Outcome, error) {
 	outs := make([]Outcome, len(problems))
 	started := make([]bool, len(problems))
-	err := ForEach(ctx, r.opts.workers(), len(problems), func(ctx context.Context, i int) error {
+	err := ForEach(ctx, workers, len(problems), func(ctx context.Context, i int) error {
 		started[i] = true
-		outs[i] = r.solveOne(ctx, problems[i], mod)
+		outs[i] = solveOne(ctx, problems[i], opts)
 		return nil
 	})
 	for i := range outs {
@@ -244,32 +58,9 @@ func (r *Runner) RunProblemsWith(ctx context.Context, problems []solve.Problem, 
 	return outs, err
 }
 
-// Run solves many MULTIPROC instances; it is RunProblems restricted to
-// hypergraphs, kept for callers of the pre-unification API.
-//
-// Deprecated: Run accepts only hypergraphs. Use RunProblems, which takes
-// []solve.Problem and batches both problem classes.
-func (r *Runner) Run(ctx context.Context, instances []*hypergraph.Hypergraph) ([]Result, error) {
-	problems := make([]solve.Problem, len(instances))
-	for i, h := range instances {
-		if h != nil {
-			problems[i] = solve.Hyper(h)
-		}
-	}
-	outs, err := r.RunProblems(ctx, problems)
-	if outs == nil {
-		return nil, err
-	}
-	results := make([]Result, len(outs))
-	for i, out := range outs {
-		results[i] = out.legacy()
-	}
-	return results, err
-}
-
-// solveOne applies the per-instance policy (solve.RunOptions). It never
-// lets a failure escape: panics and errors end up in the Outcome.
-func (r *Runner) solveOne(ctx context.Context, p solve.Problem, mod func(*solve.Options)) (out Outcome) {
+// solveOne runs one problem. It never lets a failure escape: panics and
+// errors end up in the Outcome.
+func solveOne(ctx context.Context, p solve.Problem, opts solve.Options) (out Outcome) {
 	start := time.Now()
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -277,26 +68,12 @@ func (r *Runner) solveOne(ctx context.Context, p solve.Problem, mod func(*solve.
 		}
 		out.Elapsed = time.Since(start)
 	}()
-	opts := solve.Options{
-		Portfolio: r.opts.Algorithms,
-		Refine:    r.opts.Refine,
-		// The batch pool already owns the cores; nested heuristic fan-out
-		// would just add scheduling noise.
-		Workers:        1,
-		ExactWorkers:   r.exactWorkers(),
-		NodeBudget:     r.opts.exactNodes(),
-		ExactTaskLimit: r.opts.ExactTaskLimit,
-		Deadline:       r.opts.InstanceTimeout,
-	}
-	if mod != nil {
-		mod(&opts)
-	}
 	rep, err := solve.RunOptions(ctx, p, opts)
 	return Outcome{Report: rep, Err: err}
 }
 
 // ForEach runs fn(ctx, i) for every index in [0, n) on a pool of workers —
-// the sharding primitive under Runner, exported for other fan-out loops
+// the sharding primitive under Solve, exported for other fan-out loops
 // (the bench harness drives its experiment grids through it). It stops
 // dispatching when ctx is cancelled or fn returns an error (in-flight
 // calls get a context cancelled at that point) and returns the first

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,6 +53,16 @@ func hardHyper(seed int64) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
+func hyperProblems(instances ...*hypergraph.Hypergraph) []solve.Problem {
+	out := make([]solve.Problem, len(instances))
+	for i, h := range instances {
+		if h != nil {
+			out[i] = solve.Hyper(h)
+		}
+	}
+	return out
+}
+
 func mixedBatch(n int) []*hypergraph.Hypergraph {
 	rng := rand.New(rand.NewSource(99))
 	out := make([]*hypergraph.Hypergraph, n)
@@ -66,10 +77,22 @@ func mixedBatch(n int) []*hypergraph.Hypergraph {
 	return out
 }
 
+// hyperSchedule returns an outcome's schedule, failing the test on a
+// per-problem error.
+func hyperSchedule(t *testing.T, i int, out Outcome) core.HyperAssignment {
+	t.Helper()
+	if out.Err != nil {
+		t.Fatalf("instance %d: %v", i, out.Err)
+	}
+	return core.HyperAssignment(out.Report.Assignment)
+}
+
 func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 	instances := mixedBatch(100)
-	r1, err1 := New(Options{Workers: 1, Refine: true}).Run(context.Background(), instances)
-	rN, errN := New(Options{Workers: runtime.GOMAXPROCS(0), Refine: true}).Run(context.Background(), instances)
+	problems := hyperProblems(instances...)
+	opts := solve.Options{Workers: 1, Refine: true}
+	r1, err1 := Solve(context.Background(), 1, problems, opts)
+	rN, errN := Solve(context.Background(), runtime.GOMAXPROCS(0), problems, opts)
 	if err1 != nil || errN != nil {
 		t.Fatal(err1, errN)
 	}
@@ -77,19 +100,19 @@ func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 		t.Fatalf("lengths %d, %d", len(r1), len(rN))
 	}
 	for i := range r1 {
-		if r1[i].Err != nil || rN[i].Err != nil {
-			t.Fatalf("instance %d: unexpected errors %v, %v", i, r1[i].Err, rN[i].Err)
+		a1, aN := hyperSchedule(t, i, r1[i]), hyperSchedule(t, i, rN[i])
+		p1, pN := r1[i].Report, rN[i].Report
+		if p1.Makespan != pN.Makespan || p1.Solver != pN.Solver || p1.Status != pN.Status {
+			t.Fatalf("instance %d: 1 worker (%d, %s, %s) vs N workers (%d, %s, %s)",
+				i, p1.Makespan, p1.Solver, p1.Status, pN.Makespan, pN.Solver, pN.Status)
 		}
-		if r1[i].Makespan != rN[i].Makespan || r1[i].Source != rN[i].Source || r1[i].Optimal != rN[i].Optimal {
-			t.Fatalf("instance %d: Workers=1 %+v vs Workers=N %+v", i, r1[i], rN[i])
-		}
-		if !reflect.DeepEqual(r1[i].Assignment, rN[i].Assignment) {
+		if !reflect.DeepEqual(a1, aN) {
 			t.Fatalf("instance %d: assignments differ across worker counts", i)
 		}
-		if err := core.ValidateHyperAssignment(instances[i], r1[i].Assignment); err != nil {
+		if err := core.ValidateHyperAssignment(instances[i], a1); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if core.HyperMakespan(instances[i], r1[i].Assignment) != r1[i].Makespan {
+		if core.HyperMakespan(instances[i], a1) != p1.Makespan {
 			t.Fatalf("instance %d: reported makespan mismatch", i)
 		}
 	}
@@ -104,14 +127,14 @@ func TestBatchCancelMidBatchStopsPromptly(t *testing.T) {
 	for i := range instances {
 		instances[i] = hardHyper(int64(i))
 	}
-	r := New(Options{Workers: 4, ExactTaskLimit: 64, ExactNodes: 1 << 60})
+	opts := solve.Options{Workers: 1, ExactTaskLimit: 64, NodeBudget: 1 << 60}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	results, err := r.Run(ctx, instances)
+	results, err := Solve(ctx, 4, hyperProblems(instances...), opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -129,7 +152,7 @@ func TestBatchCancelMidBatchStopsPromptly(t *testing.T) {
 			failed++
 		default:
 			// An in-flight instance keeps its best schedule so far.
-			if err := core.ValidateHyperAssignment(instances[i], res.Assignment); err != nil {
+			if err := core.ValidateHyperAssignment(instances[i], core.HyperAssignment(res.Report.Assignment)); err != nil {
 				t.Fatalf("instance %d: %v", i, err)
 			}
 			valid++
@@ -152,7 +175,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 	// contain the panic to this instance.
 	broken := &hypergraph.Hypergraph{NTasks: 4, NProcs: 2}
 	instances := []*hypergraph.Hypergraph{good1, nil, good2, broken}
-	results, err := New(Options{Workers: 2}).Run(context.Background(), instances)
+	results, err := Solve(context.Background(), 2, hyperProblems(instances...), solve.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +189,25 @@ func TestBatchErrorIsolation(t *testing.T) {
 		if results[i].Err != nil {
 			t.Fatalf("sibling %d poisoned: %v", i, results[i].Err)
 		}
-		if err := core.ValidateHyperAssignment(instances[i], results[i].Assignment); err != nil {
+		if err := core.ValidateHyperAssignment(instances[i], hyperSchedule(t, i, results[i])); err != nil {
 			t.Fatalf("sibling %d: %v", i, err)
 		}
 	}
 }
 
+// TestBatchUnknownAlgorithmFailsFast: a portfolio member unknown in the
+// problems' class fails every problem at name resolution, before any
+// solver runs, and the error names the member.
 func TestBatchUnknownAlgorithmFailsFast(t *testing.T) {
-	instances := mixedBatch(3)
-	results, err := New(Options{Algorithms: []string{"nope"}}).Run(context.Background(), instances)
-	if err == nil || results != nil {
-		t.Fatalf("want upfront config error, got results=%v err=%v", results, err)
+	results, err := Solve(context.Background(), 0, hyperProblems(mixedBatch(3)...),
+		solve.Options{Workers: 1, Portfolio: []string{"nope"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range results {
+		if out.Report != nil || out.Err == nil || !strings.Contains(out.Err.Error(), "nope") {
+			t.Fatalf("problem %d: report %v, err %v; want the unknown-member error", i, out.Report, out.Err)
+		}
 	}
 }
 
@@ -186,11 +217,13 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 	for i := range instances {
 		instances[i] = randomHyper(rng, 2+rng.Intn(10), 2+rng.Intn(3), 3, 3, 6)
 	}
-	withExact, err := New(Options{Refine: true}).Run(context.Background(), instances)
+	problems := hyperProblems(instances...)
+	withExact, err := Solve(context.Background(), 0, problems, solve.Options{Workers: 1, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heuristicOnly, err := New(Options{Refine: true, ExactTaskLimit: -1}).Run(context.Background(), instances)
+	heuristicOnly, err := Solve(context.Background(), 0, problems,
+		solve.Options{Workers: 1, Refine: true, ExactTaskLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +232,14 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 		if withExact[i].Err != nil || heuristicOnly[i].Err != nil {
 			t.Fatalf("instance %d: %v / %v", i, withExact[i].Err, heuristicOnly[i].Err)
 		}
-		if withExact[i].Optimal {
+		ex, heur := withExact[i].Report, heuristicOnly[i].Report
+		if ex.Optimal() {
 			optimal++
-			if heuristicOnly[i].Makespan < withExact[i].Makespan {
+			if heur.Makespan < ex.Makespan {
 				t.Fatalf("instance %d: heuristic %d beat proven optimum %d",
-					i, heuristicOnly[i].Makespan, withExact[i].Makespan)
+					i, heur.Makespan, ex.Makespan)
 			}
-			if heuristicOnly[i].Optimal {
+			if heur.Optimal() {
 				t.Fatalf("instance %d: heuristic-only run must not claim optimality", i)
 			}
 		}
@@ -219,23 +253,20 @@ func TestBatchInstanceTimeoutFallsBackToHeuristic(t *testing.T) {
 	// One hard instance with an unbounded node budget: without the
 	// per-instance timeout this would never finish.
 	instances := []*hypergraph.Hypergraph{hardHyper(7)}
-	r := New(Options{ExactTaskLimit: 64, ExactNodes: 1 << 60, InstanceTimeout: 20 * time.Millisecond})
+	opts := solve.Options{Workers: 1, ExactTaskLimit: 64, NodeBudget: 1 << 60, Deadline: 20 * time.Millisecond}
 	start := time.Now()
-	results, err := r.Run(context.Background(), instances)
+	results, err := Solve(context.Background(), 0, hyperProblems(instances...), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("timeout not honored: %v", elapsed)
 	}
-	res := results[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Optimal {
+	a := hyperSchedule(t, 0, results[0])
+	if results[0].Report.Optimal() {
 		t.Fatal("a timed-out search must not claim optimality")
 	}
-	if err := core.ValidateHyperAssignment(instances[0], res.Assignment); err != nil {
+	if err := core.ValidateHyperAssignment(instances[0], a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -257,10 +288,9 @@ func randomGraph(rng *rand.Rand, nTasks, nProcs, maxDeg int, maxW int64) *bipart
 	return b.MustBuild()
 }
 
-// TestBatchSingleProcProblems: SINGLEPROC batching through the
-// class-generic runner — the workload the hypergraph-only SolveBatch
-// could never serve. Unit instances get the polynomial ExactUnit proof,
-// small weighted ones the branch-and-bound attempt.
+// TestBatchSingleProcProblems: SINGLEPROC batching. Unit instances get
+// the polynomial ExactUnit proof, small weighted ones the
+// branch-and-bound attempt.
 func TestBatchSingleProcProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var problems []solve.Problem
@@ -271,7 +301,7 @@ func TestBatchSingleProcProblems(t *testing.T) {
 			problems = append(problems, solve.Bipartite(randomGraph(rng, 6+rng.Intn(8), 2+rng.Intn(3), 3, 9)))
 		}
 	}
-	outs, err := New(Options{}).RunProblems(context.Background(), problems)
+	outs, err := Solve(context.Background(), 0, problems, solve.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +343,7 @@ func TestBatchMixedClasses(t *testing.T) {
 		solve.Bipartite(randomGraph(rng, 8, 3, 2, 9)),
 		solve.Hyper(randomHyper(rng, 30, 6, 3, 3, 12)),
 	}
-	outs, err := New(Options{Workers: 2}).RunProblems(context.Background(), problems)
+	outs, err := Solve(context.Background(), 2, problems, solve.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,6 +154,10 @@ type LoadReport struct {
 	Errors uint64 `json:"errors"`
 	// Shed counts 429 responses (admission queue full / inflight cap).
 	Shed uint64 `json:"shed"`
+	// ByStatus counts non-200 HTTP responses by status code ("429",
+	// "504", ...): Shed is ByStatus["429"], and the other codes plus
+	// transport failures make up Errors.
+	ByStatus map[string]uint64 `json:"by_status"`
 	// Truncated counts responses with "truncated": true.
 	Truncated uint64  `json:"truncated"`
 	QPS       float64 `json:"qps"`
@@ -253,6 +257,7 @@ type loadWorker struct {
 	latenciesMs []float64
 	tiers       map[string]uint64
 	workloads   map[string]uint64
+	byStatus    map[string]uint64
 	requests    uint64
 	errors      uint64
 	shed        uint64
@@ -355,6 +360,7 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 		lw := &loadWorker{
 			tiers:     make(map[string]uint64),
 			workloads: make(map[string]uint64),
+			byStatus:  make(map[string]uint64),
 		}
 		workers[w] = lw
 		rng := rand.New(rand.NewSource(seed + int64(w)*7919))
@@ -395,10 +401,13 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 					if truncated {
 						lw.truncated++
 					}
-				case code == http.StatusTooManyRequests:
-					lw.shed++
 				default:
-					lw.errors++
+					lw.byStatus[strconv.Itoa(code)]++
+					if code == http.StatusTooManyRequests {
+						lw.shed++
+					} else {
+						lw.errors++
+					}
 				}
 			}
 		}()
@@ -417,6 +426,7 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 		DurationS:   elapsed.Seconds(),
 		Tiers:       make(map[string]uint64),
 		Workloads:   make(map[string]uint64),
+		ByStatus:    make(map[string]uint64),
 	}
 	var latencies []float64
 	for _, lw := range workers {
@@ -429,6 +439,9 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 		}
 		for k, v := range lw.workloads {
 			rep.Workloads[k] += v
+		}
+		for k, v := range lw.byStatus {
+			rep.ByStatus[k] += v
 		}
 		latencies = append(latencies, lw.latenciesMs...)
 	}
@@ -579,6 +592,18 @@ func FormatLoadSummary(rep *LoadReport) string {
 		len(rep.Targets), rep.Concurrency, rep.DurationS, rep.Seed)
 	fmt.Fprintf(&sb, "  requests %d (%.1f qps), errors %d, shed %d, truncated %d\n",
 		rep.Requests, rep.QPS, rep.Errors, rep.Shed, rep.Truncated)
+	if len(rep.ByStatus) > 0 {
+		codes := make([]string, 0, len(rep.ByStatus))
+		for code := range rep.ByStatus {
+			codes = append(codes, code)
+		}
+		sort.Strings(codes)
+		sb.WriteString("  non-200 by status:")
+		for _, code := range codes {
+			fmt.Fprintf(&sb, " %s %d", code, rep.ByStatus[code])
+		}
+		sb.WriteByte('\n')
+	}
 	fmt.Fprintf(&sb, "  latency ms: p50 %.3f  p95 %.3f  p99 %.3f\n", rep.P50Ms, rep.P95Ms, rep.P99Ms)
 	fmt.Fprintf(&sb, "  tiers: none %d  memory %d  disk %d  peer %d  (cache hit rate %.1f%%, peer %.1f%%)\n",
 		rep.Tiers["none"], rep.Tiers["memory"], rep.Tiers["disk"], rep.Tiers["peer"],

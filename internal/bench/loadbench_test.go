@@ -202,3 +202,54 @@ func TestRunLoadCanceledContext(t *testing.T) {
 		t.Fatalf("canceled run issued %d measured requests", rep.Requests)
 	}
 }
+
+// TestRunLoadByStatus: non-200 responses are tallied by status code, the
+// 429s match Shed, the rest match Errors, and the text summary lists
+// each code.
+func TestRunLoadByStatus(t *testing.T) {
+	codes := []int{http.StatusOK, http.StatusTooManyRequests, http.StatusGatewayTimeout, http.StatusOK, http.StatusInternalServerError}
+	var requests atomic.Uint64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
+		code := codes[int(requests.Add(1)-1)%len(codes)]
+		w.WriteHeader(code)
+		if code == http.StatusOK {
+			fmt.Fprint(w, `{"cache_tier":"memory","truncated":false}`)
+		}
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "semimatch_requests_total 0\n")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	rep, err := RunLoad(context.Background(), LoadOptions{
+		Targets:      []string{ts.URL},
+		Duration:     200 * time.Millisecond,
+		Concurrency:  2,
+		Seed:         5,
+		HotInstances: 1,
+		Mix:          LoadMix{RepeatPct: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests < uint64(len(codes)) {
+		t.Fatalf("only %d requests measured", rep.Requests)
+	}
+	if rep.ByStatus["429"] != rep.Shed || rep.Shed == 0 {
+		t.Fatalf("by_status 429 = %d, shed = %d", rep.ByStatus["429"], rep.Shed)
+	}
+	if got := rep.ByStatus["500"] + rep.ByStatus["504"]; got != rep.Errors || rep.ByStatus["504"] == 0 {
+		t.Fatalf("by_status %v vs errors %d", rep.ByStatus, rep.Errors)
+	}
+	if _, ok := rep.ByStatus["200"]; ok || len(rep.ByStatus) != 3 {
+		t.Fatalf("by_status %v, want exactly 429, 500 and 504", rep.ByStatus)
+	}
+	if sum := rep.Tiers["memory"] + rep.Shed + rep.Errors; sum != rep.Requests {
+		t.Fatalf("200s %d + shed %d + errors %d != %d requests", rep.Tiers["memory"], rep.Shed, rep.Errors, rep.Requests)
+	}
+	if s := FormatLoadSummary(rep); !strings.Contains(s, "non-200 by status: 429 ") || !strings.Contains(s, " 504 ") {
+		t.Fatalf("summary lacks the status breakdown:\n%s", s)
+	}
+}

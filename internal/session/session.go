@@ -44,6 +44,12 @@ const (
 	OpReweigh = "reweigh"
 )
 
+// MaxTasks bounds the live tasks of one session: an arrive event that
+// would exceed it fails with ErrBadEvent and leaves the session as it
+// was, so no client can grow a session's memory (and its O(n) departs
+// and re-solves) without limit.
+const MaxTasks = 65536
+
 // ErrClosed reports an event posted to a closed session.
 var ErrClosed = errors.New("session: closed")
 
@@ -368,6 +374,9 @@ func (s *Session) validateSpec(spec *TaskSpec) error {
 	}
 	if _, dup := s.byID[spec.ID]; dup {
 		return fmt.Errorf("%w: task %q already live", ErrBadEvent, spec.ID)
+	}
+	if len(s.tasks) >= MaxTasks {
+		return fmt.Errorf("%w: task %q would exceed the session cap of %d live tasks", ErrBadEvent, spec.ID, MaxTasks)
 	}
 	if len(spec.Configs) == 0 {
 		return fmt.Errorf("%w: task %q has no configurations", ErrBadEvent, spec.ID)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -408,5 +409,34 @@ func TestScriptRoundTrip(t *testing.T) {
 		if _, err := s.Apply(context.Background(), ev); err != nil {
 			t.Fatalf("replaying round-tripped event %d: %v", i, err)
 		}
+	}
+}
+
+// TestArriveBeyondCapRejected: once a session holds MaxTasks live tasks,
+// the next arrive fails with ErrBadEvent and changes nothing — no task,
+// no load, no event count.
+func TestArriveBeyondCapRejected(t *testing.T) {
+	s, err := New(Options{Procs: 4, Multi: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill through the instant patch alone: a re-solve per arrival would
+	// make the fill quadratic.
+	for i := 0; i < MaxTasks; i++ {
+		spec := &TaskSpec{ID: fmt.Sprintf("t%d", i), Configs: []Config{{Procs: []int32{int32(i % 4)}, Weight: 1}}}
+		if _, err := s.patchArrive(spec); err != nil {
+			t.Fatalf("arrival %d below the cap: %v", i, err)
+		}
+	}
+	before := s.Snapshot()
+	_, err = s.Apply(context.Background(), Event{Op: OpArrive, Task: &TaskSpec{
+		ID: "one-too-many", Configs: []Config{{Procs: []int32{0}, Weight: 1}}}})
+	if !errors.Is(err, ErrBadEvent) {
+		t.Fatalf("arrive past the cap: err = %v, want ErrBadEvent", err)
+	}
+	after := s.Snapshot()
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("rejected arrive changed the session: %d tasks, %d events → %d tasks, %d events",
+			len(before.Tasks), before.Events, len(after.Tasks), after.Events)
 	}
 }

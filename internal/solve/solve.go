@@ -23,8 +23,7 @@ import (
 // the claim.
 var ErrVerifyFailed = errors.New("solve: certificate verification failed")
 
-// Defaults of the auto policy's exact-attempt stage (shared with the
-// batch runner, which routes through RunOptions).
+// Defaults of the auto policy's exact-attempt stage.
 const (
 	// DefaultExactTaskLimit is the largest instance (in tasks) that gets a
 	// branch-and-bound attempt when Options.ExactTaskLimit is zero.
@@ -122,8 +121,9 @@ type Report struct {
 func (r *Report) Optimal() bool { return r.Status == StatusOptimal }
 
 // Options is the resolved option set of one Run. Most callers use the
-// functional With* options; policy layers that need fine-grained control
-// (the batch runner) fill the struct directly and call RunOptions.
+// functional With* options; layers that build options programmatically
+// (the batch layer, the service) fill the struct directly and call
+// RunOptions.
 type Options struct {
 	// Algorithm names one registry solver to run (any name or alias, in
 	// the problem's class). Empty selects the auto policy: a heuristic
@@ -141,9 +141,9 @@ type Options struct {
 	// fan-out and, unless ExactWorkers overrides it, the parallel
 	// branch-and-bound pool. 0 means GOMAXPROCS.
 	Workers int
-	// ExactWorkers overrides Workers for the exact stage's internal pool
-	// — the batch runner sets it so nested parallelism stays at one busy
-	// goroutine per core. 0 defers to Workers.
+	// ExactWorkers overrides Workers for the exact stage's internal pool,
+	// for callers that size the heuristic race and the exact stage
+	// separately. 0 defers to Workers.
 	ExactWorkers int
 	// NodeBudget caps branch-and-bound search nodes. 0 means the
 	// default: DefaultExactNodes for the auto policy's exact attempt, the

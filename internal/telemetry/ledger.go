@@ -46,8 +46,8 @@ type SolveRecord struct {
 
 	InstanceFeatures
 
-	// Algorithm is the registry name that produced the result ("auto"
-	// when the portfolio policy chose).
+	// Algorithm is the registry name that produced the result
+	// ("auto:<solver>" when the auto policy chose).
 	Algorithm string `json:"algorithm"`
 	// WallS is the solve wall time in seconds.
 	WallS float64 `json:"wall_s"`

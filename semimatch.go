@@ -15,7 +15,6 @@ import (
 	"semimatch/internal/gen"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/online"
-	"semimatch/internal/portfolio"
 	"semimatch/internal/refine"
 	"semimatch/internal/registry"
 	"semimatch/internal/sched"
@@ -198,8 +197,8 @@ func CertBounds(instance any) (avg, maxElem int64, err error) { return cert.Boun
 // Solver is one self-describing entry of the solver registry: name,
 // aliases, problem class, kind, cost class and a context-aware solve
 // function. Every algorithm in this package is registered exactly once,
-// and all dispatch layers (Portfolio, the bench harness, Solve, SolveBatch
-// and the CLIs) resolve algorithms through the registry.
+// and all dispatch layers (Run, SolveProblems, the bench harness, Solve,
+// the service and the CLIs) resolve algorithms through the registry.
 type Solver = registry.Solver
 
 // SolverOptions carries per-solver tuning knobs for Solver.SolveSingle /
@@ -343,32 +342,11 @@ var LowerBound = core.LowerBound
 // search; it never increases the makespan.
 var Refine = refine.Refine
 
-// RefineCtx is Refine with cooperative cancellation: it stops at the next
-// context poll and returns the (valid, never worse) assignment found so
-// far with Interrupted set.
-var RefineCtx = refine.RefineCtx
-
 // RefineOptions bounds the local search.
 type RefineOptions = refine.Options
 
 // RefineResult reports the refinement outcome.
 type RefineResult = refine.Result
-
-// Portfolio runs several heuristics concurrently (optionally refined) and
-// returns the best schedule — the practical entry point when no single
-// heuristic dominates. Unknown algorithm names yield an error.
-var Portfolio = portfolio.Solve
-
-// PortfolioCtx is Portfolio racing a context: if the deadline expires
-// before every member finishes, the best candidate finished so far is
-// returned with Incomplete set.
-var PortfolioCtx = portfolio.SolveCtx
-
-// PortfolioOptions configures Portfolio.
-type PortfolioOptions = portfolio.Options
-
-// PortfolioResult is the winning schedule plus the league table.
-type PortfolioResult = portfolio.Result
 
 // --- Online scheduling (machine-eligibility arrivals) ---
 
@@ -397,35 +375,6 @@ var (
 	ValidateHyperAssignment = core.ValidateHyperAssignment
 )
 
-// Exact branch-and-bound solvers for small NP-hard instances.
-var (
-	SolveSingleProc = exact.SolveSingleProc
-	SolveMultiProc  = exact.SolveMultiProc
-)
-
-// Context-aware variants: the search polls the context alongside the node
-// budget and, on cancellation, returns its incumbent (the best schedule
-// found so far) with an error wrapping ErrCancelled and ctx.Err().
-var (
-	SolveSingleProcCtx = exact.SolveSingleProcCtx
-	SolveMultiProcCtx  = exact.SolveMultiProcCtx
-)
-
-// Parallel work-stealing branch-and-bound: the search tree is split at a
-// shallow frontier across BnBOptions.Workers workers (default GOMAXPROCS)
-// that share one incumbent bound and one node budget, with stronger
-// prunes (cheapest-cost child ordering, a max-element lower bound,
-// symmetry breaking over interchangeable processors). Same error and
-// incumbent contract as the sequential solvers; the optimal makespan is
-// deterministic, the returned schedule may differ across runs when
-// several optima exist. Registered as BnB-SP-Par / BnB-MP-Par.
-var (
-	SolveSingleProcPar    = exact.SolveSingleProcPar
-	SolveMultiProcPar     = exact.SolveMultiProcPar
-	SolveSingleProcParCtx = exact.SolveSingleProcParCtx
-	SolveMultiProcParCtx  = exact.SolveMultiProcParCtx
-)
-
 // BnBOptions bounds the branch-and-bound search.
 type BnBOptions = exact.Options
 
@@ -442,48 +391,26 @@ var ErrCancelled = exact.ErrCancelled
 
 // --- Batch solving ---
 
-// BatchOptions configures SolveProblems and SolveBatch.
-type BatchOptions = batch.Options
-
-// BatchResult is the per-instance outcome of SolveBatch.
-//
-// Deprecated: use SolveProblems and BatchOutcome, which cover both
-// problem classes and carry the full Report.
-type BatchResult = batch.Result
-
 // BatchOutcome is the per-problem outcome of SolveProblems: the unified
 // Report, or that problem's failure.
 type BatchOutcome = batch.Outcome
 
-// BatchRunner is a reusable batch solver (SolveProblems and SolveBatch
-// create one per call).
-type BatchRunner = batch.Runner
-
-// NewBatchRunner returns a reusable batch solver.
-func NewBatchRunner(opts BatchOptions) *BatchRunner { return batch.New(opts) }
-
 // SolveProblems solves many Problems — SINGLEPROC and MULTIPROC freely
-// mixed — on a worker pool spanning GOMAXPROCS cores. Each problem runs
-// Run's auto policy: a heuristic race first, then — when the instance
-// allows it — an exact attempt (ExactUnit or parallel branch-and-bound),
-// falling back to the best schedule found so far on timeout. Failures are
-// isolated per problem (BatchOutcome.Err); makespans are deterministic in
-// the worker count (schedule identity may vary when the parallel exact
-// stage finds co-optimal schedules). Cancelling ctx stops the batch
-// promptly, returning partial results alongside the context's error.
-func SolveProblems(ctx context.Context, problems []Problem, opts BatchOptions) ([]BatchOutcome, error) {
-	return batch.New(opts).RunProblems(ctx, problems)
-}
-
-// SolveBatch solves many MULTIPROC instances; it is SolveProblems
-// restricted to hypergraphs, kept as a thin wrapper for callers of the
-// pre-unification API.
-//
-// Deprecated: SolveBatch accepts only hypergraphs, so SINGLEPROC
-// workloads cannot use the batch pipeline through it. Use SolveProblems
-// with []Problem, which batches both encodings.
-func SolveBatch(ctx context.Context, instances []*Hypergraph, opts BatchOptions) ([]BatchResult, error) {
-	return batch.New(opts).Run(ctx, instances)
+// mixed — on a worker pool spanning GOMAXPROCS cores, each with Run and
+// the given options. The pool owns the cores, so each solve defaults to
+// WithWorkers(1); opts may override it. An Observer or Progress hook in
+// opts is called for every problem, possibly concurrently. Failures are
+// isolated per problem (BatchOutcome.Err). Cancelling ctx stops the batch
+// promptly, returning partial results alongside the context's error;
+// problems that never started carry a "not started" error.
+func SolveProblems(ctx context.Context, problems []Problem, opts ...Option) ([]BatchOutcome, error) {
+	o := solve.Options{Workers: 1}
+	for _, fn := range opts {
+		if fn != nil {
+			fn(&o)
+		}
+	}
+	return batch.Solve(ctx, 0, problems, o)
 }
 
 // --- Generators (Sec. V-A) ---
@@ -564,10 +491,6 @@ func NewInstance(procNames ...string) *Instance { return sched.NewInstance(procN
 // Solve schedules an instance; the Algorithm enum maps through the solver
 // registry.
 var Solve = sched.Solve
-
-// SolveByName schedules an instance with any registered MULTIPROC solver,
-// by name or alias.
-var SolveByName = sched.SolveByName
 
 // --- Solving as a service ---
 

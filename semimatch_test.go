@@ -68,11 +68,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if m := semimatch.HyperMakespan(h, ha); m < lb {
 		t.Fatalf("makespan %d below lower bound %d", m, lb)
 	}
-	_, optH, err := semimatch.SolveMultiProc(h, semimatch.BnBOptions{})
+	rep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h), semimatch.WithAlgorithm("bnb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if optH < lb {
+	if optH := rep.Makespan; optH < lb {
 		t.Fatalf("optimal %d below LB %d", optH, lb)
 	}
 
@@ -137,12 +137,13 @@ func TestExtensionsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Portfolio beats or ties every member, and refinement never hurts.
-	res, err := semimatch.Portfolio(h, semimatch.PortfolioOptions{Refine: true})
+	// The refined heuristic race beats or ties every member.
+	res, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+		semimatch.WithRefine(), semimatch.WithExactLimit(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := semimatch.ValidateHyperAssignment(h, res.Assignment); err != nil {
+	if err := semimatch.ValidateHyperAssignment(h, semimatch.HyperAssignment(res.Assignment)); err != nil {
 		t.Fatal(err)
 	}
 	sgh := semimatch.HyperMakespan(h, semimatch.SortedGreedyHyp(h, semimatch.HyperOptions{}))
@@ -199,20 +200,21 @@ func TestAdversarialThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, m, err := semimatch.SolveMultiProc(h, semimatch.BnBOptions{})
+	rep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h), semimatch.WithAlgorithm("bnb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != 1 {
-		t.Fatalf("trivial X3C optimal = %d", m)
+	if rep.Makespan != 1 || !rep.Optimal() {
+		t.Fatalf("trivial X3C optimal = %d (%s)", rep.Makespan, rep.Status)
 	}
 }
 
 // TestBatchAndContextFacade exercises the context-aware entry points
-// through the public API: SolveBatch over a generated workload, and a
-// cancelled branch-and-bound returning its incumbent with ErrCancelled.
+// through the public API: SolveProblems over a generated workload, and a
+// cancelled branch-and-bound returning its incumbent as truncated.
 func TestBatchAndContextFacade(t *testing.T) {
 	var instances []*semimatch.Hypergraph
+	var problems []semimatch.Problem
 	for seed := int64(1); seed <= 8; seed++ {
 		h, err := semimatch.GenerateHypergraph(semimatch.HyperParams{
 			Gen: semimatch.FewgManyg, N: 60, P: 8, Dv: 3, Dh: 4, G: 4,
@@ -222,38 +224,43 @@ func TestBatchAndContextFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		instances = append(instances, h)
+		problems = append(problems, semimatch.HypergraphProblem(h))
 	}
-	results, err := semimatch.SolveBatch(context.Background(), instances, semimatch.BatchOptions{Refine: true})
+	outs, err := semimatch.SolveProblems(context.Background(), problems, semimatch.WithRefine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("instance %d: %v", i, r.Err)
+	for i, out := range outs {
+		if out.Err != nil {
+			t.Fatalf("instance %d: %v", i, out.Err)
 		}
-		if err := semimatch.ValidateHyperAssignment(instances[i], r.Assignment); err != nil {
+		if err := semimatch.ValidateHyperAssignment(instances[i], semimatch.HyperAssignment(out.Report.Assignment)); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if lb := semimatch.LowerBound(instances[i]); r.Makespan < lb {
-			t.Fatalf("instance %d: makespan %d below LB %d", i, r.Makespan, lb)
+		if lb := semimatch.LowerBound(instances[i]); out.Report.Makespan < lb {
+			t.Fatalf("instance %d: makespan %d below LB %d", i, out.Report.Makespan, lb)
 		}
 	}
 
-	// A cancelled context surfaces ErrCancelled but still yields a valid
+	// A cancelled context truncates the search but still yields a valid
 	// incumbent schedule.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, m, err := semimatch.SolveMultiProcCtx(ctx, instances[0], semimatch.BnBOptions{})
-	if err == nil {
+	rep, err := semimatch.Run(ctx, problems[0], semimatch.WithAlgorithm("bnb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Optimal() {
 		t.Skip("solved before the first context poll")
 	}
-	if !errors.Is(err, semimatch.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if rep.Status != semimatch.StatusTruncated {
+		t.Fatalf("status = %s, want truncated", rep.Status)
 	}
+	a := semimatch.HyperAssignment(rep.Assignment)
 	if err := semimatch.ValidateHyperAssignment(instances[0], a); err != nil {
 		t.Fatal(err)
 	}
-	if semimatch.HyperMakespan(instances[0], a) != m {
+	if semimatch.HyperMakespan(instances[0], a) != rep.Makespan {
 		t.Fatal("incumbent makespan mismatch")
 	}
 }
